@@ -14,12 +14,9 @@ from .eb import (
     SaliencySequence,
     contrastive_combine,
     eb_conv_backward,
-    eb_flatten_backward,
     eb_linear_backward,
     eb_meanpool_temporal_backward,
-    eb_pool_backward,
     eb_recurrent_backward,
-    eb_relu_backward,
     load_saliency,
     run_saliency,
     save_saliency,

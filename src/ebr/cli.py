@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .eb import PriorSpec, load_saliency, run_saliency, save_saliency
-from .forward import Clip, load_clip, save_clip
+from .forward import load_clip, save_clip
 from .grounding import (
     Segment,
     fixed_length_ground,
@@ -28,15 +28,16 @@ from .grounding import (
     segment_iou,
     spatial_point,
     temporal_ground,
-    temporal_point_game,
 )
 from .model import ModelManifest, parse_manifest, serialize_manifest, validate_eb_assumptions
 from .render import overlay_sequence, write_ppm
-from .synth import build_toy_model, dataset_specs, gen_synthetic_clip, gt_class_probabilities, probability_baseline
+from .synth import build_toy_model, dataset_specs, gen_synthetic_clip, gt_class_probabilities
 
 log = logging.getLogger("ebr")
 
-NON_NEGATIVE_MODES = ("EB", "EB-R")
+# modes whose per-frame map sums cannot change sign at an action boundary:
+# EB and EB-R sums are non-negative, a cEB frame sums to zero apart from leak
+UNSIGNED_SUM_MODES = ("EB", "EB-R", "cEB")
 
 
 class UsageError(Exception):
@@ -264,11 +265,12 @@ def cmd_ground(args) -> int:
         peak_prob = ""
         if needs_sal:
             sums, meta = _saliency_sums(args.saliency, cid)
-            if args.length is None and meta.get("mode") in NON_NEGATIVE_MODES:
+            if args.length is None and meta.get("mode") in UNSIGNED_SUM_MODES:
                 raise UsageError(
-                    f"saliency was computed with mode {meta['mode']}, whose map sums are "
-                    f"non-negative; unknown-length grounding needs a signed signal, so use "
-                    f"a contrastive mode or pass --length"
+                    f"saliency was computed with mode {meta['mode']}, whose per-frame map "
+                    f"sums are non-negative (EB, EB-R) or zero apart from leak (cEB); "
+                    f"unknown-length grounding needs a signed signal, so use cEB-R or "
+                    f"pass --length"
                 )
             peak_sal = int(np.argmax(sums))
             scores = sums
@@ -277,7 +279,7 @@ def cmd_ground(args) -> int:
             probs = gt_class_probabilities(model, clip, label)
             peak_prob = int(np.argmax(probs))
             if args.method == "prob":
-                scores = probability_baseline(model, clip, label)
+                scores = np.where(probs >= 0.5, 1.0, -1.0)
         if args.length is not None:
             seg = fixed_length_ground(scores, args.length)
             degenerate = False

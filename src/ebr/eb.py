@@ -16,6 +16,10 @@ Six modes are exposed through :func:`run_saliency`:
     BP      plain per-frame gradient of the prior-weighted logit
     BP-R    the same gradient taken through the temporal unrolling
 
+Every mode forwards the clip once, and all six share one CNN descent: EB
+and BP differ only at conv2d and fully-connected layers, where EB takes
+the competition rule ``x * W+^T (m / W+ x)`` and BP the plain gradient.
+
 Parents whose excitatory children are all zero drop their mass; the drop
 is reported per stage in ``SaliencySequence.leaked`` so conservation can
 be audited (delivered mass plus leaked mass accounts for the full prior).
@@ -30,7 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ActivationCache, Clip, forward_clip, im2col, col2im
+from .forward import (
+    ActivationCache,
+    Clip,
+    conv2d_backward,
+    conv2d_forward,
+    forward_clip,
+    maxpool_backward,
+)
 from .model import ModelManifest
 from .tensorfile import load_tensor, save_tensor
 
@@ -58,6 +69,8 @@ class PriorSpec:
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.ndim != 1:
             raise ValueError("prior mass must be a 1-d distribution over output units")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("prior mass must be finite")
         if mass.min() < 0.0 or abs(mass.sum() - 1.0) > 1e-9:
             raise ValueError("prior mass must be non-negative and sum to 1")
         object.__setattr__(self, "mass", mass)
@@ -129,37 +142,17 @@ def eb_conv_backward(
     """
     if child_acts.min() < 0.0:
         raise ValueError("child activations must be non-negative")
-    oc = weight.shape[0]
-    col, out_hw = im2col(child_acts, weight.shape[2:], stride, padding)
-    if parent_mass.shape != (oc, *out_hw):
-        raise ValueError(f"parent mass {parent_mass.shape} != {(oc, *out_hw)}")
-    w_pos = np.where(weight >= 0.0, weight, 0.0).reshape(oc, -1)
-    z = w_pos @ col
-    pm = parent_mass.reshape(oc, -1)
+    w_pos = np.where(weight >= 0.0, weight, 0.0)
+    z = conv2d_forward(child_acts, w_pos, None, stride, padding)
+    if parent_mass.shape != z.shape:
+        raise ValueError(f"parent mass {parent_mass.shape} != {z.shape}")
     live = z > 0.0
-    ratio = np.where(live, pm, 0.0)
+    ratio = np.where(live, parent_mass, 0.0)
     np.divide(ratio, z, out=ratio, where=live)
-    leaked = float(pm[~live].sum())
-    col_mass = col * (w_pos.T @ ratio)
-    child_mass = col2im(col_mass, child_acts.shape, weight.shape[2:], stride, padding, out_hw)
+    leaked = float(parent_mass[~live].sum())
+    # x * W+^T (m / W+ x): the input VJP of the non-negative kernel, rescaled
+    child_mass = child_acts * conv2d_backward(ratio, w_pos, child_acts.shape, stride, padding)
     return child_mass, leaked
-
-
-def eb_relu_backward(parent_mass: np.ndarray) -> np.ndarray:
-    """Relu is one-to-one; mass passes through untouched."""
-    return parent_mass
-
-
-def eb_flatten_backward(parent_mass: np.ndarray, child_shape) -> np.ndarray:
-    return parent_mass.reshape(child_shape)
-
-
-def eb_pool_backward(rows: np.ndarray, cols: np.ndarray, child_shape, parent_mass: np.ndarray):
-    """Each pooled output routes its whole mass to the recorded winner cell."""
-    out = np.zeros(child_shape, dtype=np.float64)
-    c_idx = np.broadcast_to(np.arange(child_shape[0])[:, None, None], rows.shape)
-    np.add.at(out, (c_idx, rows, cols), parent_mass)
-    return out
 
 
 def eb_meanpool_temporal_backward(frame_feats: np.ndarray, parent_mass: np.ndarray):
@@ -267,9 +260,10 @@ class SaliencySequence:
     """Per-frame saliency maps at one layer, plus propagation diagnostics.
 
     ``maps[t]`` has the target layer's output shape (3-d for conv-side
-    layers, 1-d for vector layers). ``layer_records`` lists, from the
-    feature level downward, ``(layer, delivered_mass, leaked_above)`` so
-    that conservation can be checked at every depth.
+    layers, 1-d for vector layers). For every EB mode ``layer_records``
+    lists, from the feature level downward, ``(layer, delivered_mass,
+    leaked_above)`` summed over frames, so that conservation can be checked
+    at every depth; the BP modes leave it ``None``.
     """
 
     mode: str
@@ -328,59 +322,66 @@ def load_saliency(path) -> tuple[np.ndarray, dict]:
     return maps, meta
 
 
-def _layer_backward(cache: ActivationCache, t: int, layer_index: int, mass: np.ndarray):
-    """Mass on the output of CNN-stack layer ``layer_index`` -> its input."""
+def _layer_backward(
+    cache: ActivationCache, t: int, layer_index: int, signal: np.ndarray, excitation: bool
+):
+    """Signal on the output of CNN-stack layer ``layer_index`` -> its input.
+
+    relu, flatten and maxpool take their vector-Jacobian product in both
+    engines; EB mass is proportional to activation, so the relu mask
+    removes none of it. conv2d and fully-connected take the competition
+    rule under ``excitation`` and the plain VJP otherwise. Returns
+    ``(signal, leaked)``.
+    """
     spec = cache.model.cnn_stack()[layer_index]
     x_in = cache.layer_input(t, layer_index)
     if spec.kind == "relu":
-        return eb_relu_backward(mass), 0.0
+        return signal * (cache.per_frame[t][spec.name] > 0.0), 0.0
     if spec.kind == "flatten":
-        return eb_flatten_backward(mass, x_in.shape), 0.0
+        return signal.reshape(x_in.shape), 0.0
     if spec.kind == "maxpool2d":
         rows, cols = cache.pool_winners[t][spec.name]
-        return eb_pool_backward(rows, cols, x_in.shape, mass), 0.0
+        return maxpool_backward(signal, rows, cols, x_in.shape), 0.0
     if spec.kind == "conv2d":
-        return eb_conv_backward(
-            x_in, cache.model.weight(spec, "weight"), spec.stride, spec.padding, mass
-        )
+        w = cache.model.weight(spec, "weight")
+        if excitation:
+            return eb_conv_backward(x_in, w, spec.stride, spec.padding, signal)
+        return conv2d_backward(signal, w, x_in.shape, spec.stride, spec.padding), 0.0
     if spec.kind == "fully-connected":
-        return eb_linear_backward(x_in, cache.model.weight(spec, "weight"), mass)
+        w = cache.model.weight(spec, "weight")
+        if excitation:
+            return eb_linear_backward(x_in, w, signal)
+        return w.T @ signal, 0.0
     raise ValueError(f"cannot backpropagate through {spec.kind}")
 
 
-def _descend_frames(cache: ActivationCache, frame_masses: np.ndarray, target_layer: str):
-    """Carry per-frame feature-level masses down the CNN stack to the target.
+def _descend(cache: ActivationCache, signals: np.ndarray, target_layer: str, excitation: bool):
+    """Carry per-frame feature-level signals down the CNN stack to the target.
 
     Returns ``(maps, leaked, records)``; records hold, per visited level,
-    the total delivered mass and the cumulative leak above it, summed over
-    frames.
+    the total delivered signal and the cumulative leak above it, summed
+    over frames.
     """
-    model = cache.model
-    stack = model.cnn_stack()
+    stack = cache.model.cnn_stack()
     names = [s.name for s in stack]
     stop = -1 if target_layer == "input" else names.index(target_layer)
-    T = cache.length
+    levels = range(len(stack) - 1, stop, -1)
     top = stack[-1].name
-    n_levels = len(stack) - 1 - stop
-    totals = np.zeros(n_levels + 1)
-    leaks = np.zeros(n_levels + 1)
+    totals = np.zeros(len(levels) + 1)
+    leaks = np.zeros(len(levels) + 1)
     maps = []
-    for t in range(T):
-        mass = frame_masses[t].reshape(cache.per_frame[t][top].shape)
-        totals[0] += mass.sum()
+    for t in range(cache.length):
+        signal = signals[t].reshape(cache.per_frame[t][top].shape)
+        totals[0] += signal.sum()
         running = 0.0
-        for k, i in enumerate(range(len(stack) - 1, stop, -1)):
-            mass, lk = _layer_backward(cache, t, i, mass)
+        for k, i in enumerate(levels, 1):
+            signal, lk = _layer_backward(cache, t, i, signal, excitation)
             running += lk
-            totals[k + 1] += mass.sum()
-            leaks[k + 1] += running
-        maps.append(mass)
-    level_names = [top] + [
-        (names[i - 1] if i > 0 else "input") for i in range(len(stack) - 1, stop, -1)
-    ]
-    records = [
-        (level_names[k], float(totals[k]), float(leaks[k])) for k in range(n_levels + 1)
-    ]
+            totals[k] += signal.sum()
+            leaks[k] += running
+        maps.append(signal)
+    level_names = [top] + [(names[i - 1] if i > 0 else "input") for i in levels]
+    records = [(name, float(m), float(lk)) for name, m, lk in zip(level_names, totals, leaks)]
     return maps, float(leaks[-1]), records
 
 
@@ -388,15 +389,17 @@ def _head_backward(cache: ActivationCache, prior: PriorSpec, negate: bool):
     """Prior -> per-frame feature-level masses through the temporal head."""
     model = cache.model
     agg_idx = model.aggregator_index()
+    w_cls = model.weight(model.classifier(), "weight")
     if agg_idx is None:
-        raise ValueError("model has no temporal aggregator")
-    agg = model.layers[agg_idx]
-    if agg.kind == "recurrent-relu":
+        # CNN-only chain: the classifier reads frame ``step`` directly
+        frame_masses = np.zeros_like(cache.features)
+        frame_masses[prior.step], leaked = eb_linear_backward(
+            cache.features[prior.step], w_cls, prior.mass, negate=negate
+        )
+        return frame_masses, leaked
+    if model.layers[agg_idx].kind == "recurrent-relu":
         return eb_recurrent_backward(cache, prior, negate_classifier=negate)
-    cls = model.classifier()
-    pooled_mass, lk1 = eb_linear_backward(
-        cache.pooled, model.weight(cls, "weight"), prior.mass, negate=negate
-    )
+    pooled_mass, lk1 = eb_linear_backward(cache.pooled, w_cls, prior.mass, negate=negate)
     frame_masses, lk2 = eb_meanpool_temporal_backward(cache.features, pooled_mass)
     return frame_masses, lk1 + lk2
 
@@ -410,6 +413,29 @@ def _normalize_or_zero(masses: np.ndarray, branch: str, zero_branches: list[str]
         return np.zeros_like(masses)
 
 
+def _eb_signal(
+    cache: ActivationCache,
+    prior: PriorSpec,
+    contrastive: bool,
+    leaked: dict[str, float],
+    zero_branches: list[str],
+    tag: str = "",
+) -> np.ndarray:
+    """Normalized feature-level mass of the positive branch, minus that of
+    the dual branch when ``contrastive``; head leaks accumulate in ``leaked``."""
+    raw, lk = _head_backward(cache, prior, negate=False)
+    leaked["pos_head"] = leaked.get("pos_head", 0.0) + lk
+    pos = _normalize_or_zero(raw, "pos" + tag, zero_branches)
+    if not contrastive:
+        return pos
+    raw, lk = _head_backward(cache, prior, negate=True)
+    leaked["dual_head"] = leaked.get("dual_head", 0.0) + lk
+    dual = _normalize_or_zero(raw, "dual" + tag, zero_branches)
+    if zero_branches:
+        return pos - dual
+    return contrastive_combine(pos, dual)
+
+
 def _check_target(model: ModelManifest, target_layer: str) -> None:
     names = [s.name for s in model.cnn_stack()]
     if target_layer != "input" and target_layer not in names:
@@ -417,19 +443,6 @@ def _check_target(model: ModelManifest, target_layer: str) -> None:
             f"target layer {target_layer!r} is not a frame-level layer "
             f"(choose from {names + ['input']})"
         )
-
-
-def _single_frame_head(cache: ActivationCache, prior, negate: bool):
-    """Degenerate one-step head backward for the frame-independent EB/cEB modes."""
-    model = cache.model
-    if model.aggregator_index() is None:
-        cls = model.classifier()
-        fm, lk = eb_linear_backward(
-            cache.features[0], model.weight(cls, "weight"), prior.mass, negate=negate
-        )
-        return fm[None, :], lk
-    one_step = PriorSpec(step=0, mass=prior.mass)
-    return _head_backward(cache, one_step, negate)
 
 
 def run_saliency(
@@ -445,9 +458,10 @@ def run_saliency(
     The recurrent modes propagate the prior through the unrolled head,
     normalize jointly over space and time, optionally subtract the dual
     branch at the feature level, and carry the (possibly signed) result
-    down each frame's CNN. The frame-wise modes re-run every frame as a
-    one-step clip and normalize within the frame. BP modes differentiate
-    the prior-weighted logit instead of propagating probabilities.
+    down each frame's CNN. The frame-wise modes run the head on each frame
+    as its own one-frame clip and normalize within the frame. BP modes
+    differentiate the prior-weighted logit instead of propagating
+    probabilities. Every mode forwards the clip once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -464,57 +478,27 @@ def run_saliency(
             prior_step=prior.step, prior_mass=prior.mass,
         )
 
+    through_time = mode.endswith("-R")
+    if through_time and model.aggregator_index() is None:
+        raise ValueError(f"mode {mode} needs a temporal aggregator layer")
     T = clip.length
     if not 0 <= prior.step < T:
         raise ValueError(f"prior step {prior.step} outside 0..{T - 1}")
+    cache = forward_clip(model, clip, enforce_length=through_time)
+    contrastive = mode.startswith("c")
+    leaked: dict[str, float] = {}
     zero_branches: list[str] = []
-    if mode in ("EB-R", "cEB-R"):
-        if model.aggregator_index() is None:
-            raise ValueError(f"mode {mode} needs a temporal aggregator layer")
-        cache = forward_clip(model, clip)
-        pos_raw, pos_leak = _head_backward(cache, prior, negate=False)
-        leaked = {"pos_head": pos_leak}
-        pos = _normalize_or_zero(pos_raw, "pos", zero_branches)
-        if mode == "cEB-R":
-            dual_raw, dual_leak = _head_backward(cache, prior, negate=True)
-            leaked["dual_head"] = dual_leak
-            dual = _normalize_or_zero(dual_raw, "dual", zero_branches)
-            if zero_branches:
-                combined = pos - dual
-            else:
-                combined = contrastive_combine(pos, dual)
-        else:
-            combined = pos
-        maps, cnn_leak, records = _descend_frames(cache, combined, target_layer)
-        leaked["cnn"] = cnn_leak
-        return SaliencySequence(
-            mode=mode, layer=target_layer, maps=maps,
-            prior_step=prior.step, prior_mass=prior.mass,
-            leaked=leaked, zero_branches=zero_branches, layer_records=records,
-        )
-
-    # EB / cEB: every frame is its own one-step clip
-    maps = []
-    leaked = {"pos_head": 0.0, "cnn": 0.0}
-    if mode == "cEB":
-        leaked["dual_head"] = 0.0
-    for t in range(T):
-        cache_t = forward_clip(model, Clip(frames=clip.frames[t][None]), enforce_length=False)
-        pos_raw, pos_leak = _single_frame_head(cache_t, prior, negate=False)
-        leaked["pos_head"] += pos_leak
-        pos = _normalize_or_zero(pos_raw, f"pos[{t}]", zero_branches)
-        if mode == "cEB":
-            dual_raw, dual_leak = _single_frame_head(cache_t, prior, negate=True)
-            leaked["dual_head"] += dual_leak
-            dual = _normalize_or_zero(dual_raw, f"dual[{t}]", zero_branches)
-            combined = pos - dual
-        else:
-            combined = pos
-        frame_maps, cnn_leak, _ = _descend_frames(cache_t, combined, target_layer)
-        leaked["cnn"] += cnn_leak
-        maps.append(frame_maps[0])
+    if through_time:
+        signals = _eb_signal(cache, prior, contrastive, leaked, zero_branches)
+    else:
+        one_step = PriorSpec(step=0, mass=prior.mass)
+        signals = np.concatenate([
+            _eb_signal(cache.frame(t), one_step, contrastive, leaked, zero_branches, f"[{t}]")
+            for t in range(T)
+        ])
+    maps, leaked["cnn"], records = _descend(cache, signals, target_layer, excitation=True)
     return SaliencySequence(
         mode=mode, layer=target_layer, maps=maps,
         prior_step=prior.step, prior_mass=prior.mass,
-        leaked=leaked, zero_branches=zero_branches,
+        leaked=leaked, zero_branches=zero_branches, layer_records=records,
     )

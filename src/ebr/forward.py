@@ -114,6 +114,14 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride, p
     return out.reshape(oc, oh, ow)
 
 
+def conv2d_backward(g: np.ndarray, w: np.ndarray, x_shape, stride, padding) -> np.ndarray:
+    """Vector-Jacobian product of :func:`conv2d_forward` w.r.t. its input:
+    the [OC, OH, OW] signal ``g`` carried back onto the [C, H, W] grid."""
+    oc = w.shape[0]
+    col = w.reshape(oc, -1).T @ g.reshape(oc, -1)
+    return col2im(col, x_shape, w.shape[2:], stride, padding, g.shape[1:])
+
+
 def maxpool_forward(x: np.ndarray, window, stride) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maxpool [C, H, W]; also returns the winner's input row/col per window."""
     wh, ww = window
@@ -132,6 +140,14 @@ def maxpool_forward(x: np.ndarray, window, stride) -> tuple[np.ndarray, np.ndarr
     rows = oy[None] + k // ww
     cols = ox[None] + k % ww
     return out, rows, cols
+
+
+def maxpool_backward(g: np.ndarray, rows: np.ndarray, cols: np.ndarray, x_shape) -> np.ndarray:
+    """Route each pooled output's signal to its recorded winner cell."""
+    out = np.zeros(x_shape, dtype=np.float64)
+    c_idx = np.broadcast_to(np.arange(x_shape[0])[:, None, None], rows.shape)
+    np.add.at(out, (c_idx, rows, cols), g)
+    return out
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -182,6 +198,19 @@ class ActivationCache:
             return self.clip_frames[t]
         prev = self.model.cnn_stack()[layer_index - 1]
         return self.per_frame[t][prev.name]
+
+    def frame(self, t: int) -> "ActivationCache":
+        """Frame t as a one-frame clip: the CNN activations are shared and
+        only the temporal head runs again, from ``h_0 = 0``."""
+        one = ActivationCache(
+            model=self.model,
+            clip_frames=self.clip_frames[t : t + 1],
+            per_frame=self.per_frame[t : t + 1],
+            pool_winners=self.pool_winners[t : t + 1],
+            features=self.features[t : t + 1],
+        )
+        _forward_head(one)
+        return one
 
 
 def forward_frame(model: ModelManifest, frame: np.ndarray):
@@ -247,6 +276,15 @@ def forward_clip(model: ModelManifest, clip: Clip, enforce_length: bool = True) 
         pool_winners=pool_winners,
         features=features,
     )
+    _forward_head(cache)
+    return cache
+
+
+def _forward_head(cache: ActivationCache) -> None:
+    """Run the temporal head and classifier over ``cache.features``."""
+    model = cache.model
+    features = cache.features
+    T = cache.length
     cls = model.classifier()
     w_cls = model.weight(cls, "weight")
     b_cls = model.bias(cls)
@@ -275,4 +313,3 @@ def forward_clip(model: ModelManifest, clip: Clip, enforce_length: bool = True) 
         cache.logits = fc_forward(pooled, w_cls, b_cls)[None, :]
     else:
         cache.logits = np.stack([fc_forward(features[t], w_cls, b_cls) for t in range(T)])
-    return cache

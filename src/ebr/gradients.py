@@ -2,58 +2,47 @@
 
 Unlike the probability propagation in :mod:`ebr.eb`, these maps are plain
 derivatives: signed, not conserved, and computed from the same cached
-forward pass. ``through_time=True`` differentiates through the unrolled
-temporal head (BP-R); otherwise every frame is treated as its own
-one-step clip (BP). Raw gradients are returned by default; ``absolute``
-takes elementwise magnitudes for callers that only rank locations.
+forward pass and the same CNN descent with the competition rules switched
+off. ``through_time=True`` differentiates through the unrolled temporal
+head (BP-R); otherwise every frame is treated as its own one-step clip
+(BP). Raw gradients are returned by default; ``absolute`` takes
+elementwise magnitudes for callers that only rank locations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forward import ActivationCache, Clip, col2im, forward_clip
+from .eb import PriorSpec, _descend
+from .forward import ActivationCache, Clip, forward_clip
 from .model import ModelManifest
 
 
-def _grad_layer_backward(cache: ActivationCache, t: int, layer_index: int, g: np.ndarray):
-    """Gradient on the output of CNN-stack layer ``layer_index`` -> its input."""
-    spec = cache.model.cnn_stack()[layer_index]
-    x_in = cache.layer_input(t, layer_index)
-    if spec.kind == "relu":
-        out = cache.per_frame[t][spec.name]
-        return g * (out > 0.0)
-    if spec.kind == "flatten":
-        return g.reshape(x_in.shape)
-    if spec.kind == "maxpool2d":
-        rows, cols = cache.pool_winners[t][spec.name]
-        gx = np.zeros(x_in.shape, dtype=np.float64)
-        c_idx = np.broadcast_to(np.arange(x_in.shape[0])[:, None, None], rows.shape)
-        np.add.at(gx, (c_idx, rows, cols), g)
-        return gx
-    if spec.kind == "conv2d":
-        w = cache.model.weight(spec, "weight")
-        oc = w.shape[0]
-        out_hw = g.shape[1:]
-        col_g = w.reshape(oc, -1).T @ g.reshape(oc, -1)
-        return col2im(col_g, x_in.shape, w.shape[2:], spec.stride, spec.padding, out_hw)
-    if spec.kind == "fully-connected":
-        return cache.model.weight(spec, "weight").T @ g
-    raise ValueError(f"cannot differentiate through {spec.kind}")
+def _grad_head(cache: ActivationCache, prior) -> np.ndarray:
+    """Gradient of ``prior.mass @ logits`` w.r.t. every frame's feature.
 
-
-def _descend_grads(cache: ActivationCache, frame_grads: np.ndarray, target_layer: str):
-    stack = cache.model.cnn_stack()
-    names = [s.name for s in stack]
-    stop = -1 if target_layer == "input" else names.index(target_layer)
-    top = stack[-1].name
-    maps = []
-    for t in range(cache.length):
-        g = frame_grads[t].reshape(cache.per_frame[t][top].shape)
-        for i in range(len(stack) - 1, stop, -1):
-            g = _grad_layer_backward(cache, t, i, g)
-        maps.append(g)
-    return maps
+    The logit is the one at ``prior.step``; frames after it get exact zeros.
+    """
+    model = cache.model
+    g_out = model.weight(model.classifier(), "weight").T @ prior.mass
+    g_feat = np.zeros_like(cache.features)
+    agg_idx = model.aggregator_index()
+    kind = model.layers[agg_idx].kind if agg_idx is not None else None
+    if kind == "recurrent-relu":
+        agg = model.layers[agg_idx]
+        wx = model.weight(agg, "input")
+        wh = model.weight(agg, "hidden")
+        g_h = g_out
+        for t in range(prior.step, -1, -1):
+            g_pre = g_h * (cache.states[t + 1] > 0.0)
+            g_feat[t] = wx.T @ g_pre
+            g_h = wh.T @ g_pre
+    elif kind == "temporal-mean-pool":
+        g_feat[:] = g_out[None, :] / cache.length
+    else:
+        # CNN-only chain: the classifier reads frame ``step`` directly
+        g_feat[prior.step] = g_out
+    return g_feat
 
 
 def bp_saliency(
@@ -74,41 +63,16 @@ def bp_saliency(
     """
     cache = forward_clip(model, clip)
     T = clip.length
-    n = prior.step
-    if not 0 <= n < T:
-        raise ValueError(f"prior step {n} outside 0..{T - 1}")
-    cls = model.classifier()
-    w_cls = model.weight(cls, "weight")
-    agg_idx = model.aggregator_index()
-    agg = model.layers[agg_idx] if agg_idx is not None else None
-    g_feat = np.zeros_like(cache.features)
-    g_out = w_cls.T @ prior.mass
+    if not 0 <= prior.step < T:
+        raise ValueError(f"prior step {prior.step} outside 0..{T - 1}")
     if through_time:
-        if agg is None:
+        if model.aggregator_index() is None:
             raise ValueError("BP-R needs a temporal aggregator layer")
-        if agg.kind == "recurrent-relu":
-            wx = model.weight(agg, "input")
-            wh = model.weight(agg, "hidden")
-            g_h = g_out
-            for t in range(n, -1, -1):
-                g_pre = g_h * (cache.states[t + 1] > 0.0)
-                g_feat[t] = wx.T @ g_pre
-                g_h = wh.T @ g_pre
-        else:  # temporal-mean-pool
-            g_feat[:] = g_out[None, :] / T
+        g_feat = _grad_head(cache, prior)
     else:
-        if agg is not None and agg.kind == "recurrent-relu":
-            wx = model.weight(agg, "input")
-            b = model.bias(agg)
-            for t in range(T):
-                pre = wx @ cache.features[t]
-                if b is not None:
-                    pre = pre + b
-                g_feat[t] = wx.T @ (g_out * (pre > 0.0))
-        else:
-            # mean-pool over one frame and CNN-only heads are both identity
-            g_feat[:] = g_out[None, :]
-    maps = _descend_grads(cache, g_feat, target_layer)
+        one_step = PriorSpec(step=0, mass=prior.mass)
+        g_feat = np.concatenate([_grad_head(cache.frame(t), one_step) for t in range(T)])
+    maps, _, _ = _descend(cache, g_feat, target_layer, excitation=False)
     if absolute:
         maps = [np.abs(m) for m in maps]
     return maps

@@ -288,6 +288,8 @@ def _validate(m: ModelManifest) -> None:
                 raise ShapeMismatchError(
                     f"{spec.name}.{role}: weight {ref!r} has shape {got}, expected {expected[role]}"
                 )
+            if not np.all(np.isfinite(m.tensors[ref])):
+                raise ManifestError(f"{spec.name}.{role}: weight {ref!r} holds non-finite values")
     _chain_shapes(m)
 
 

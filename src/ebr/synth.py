@@ -236,14 +236,7 @@ def build_toy_model(
 
 def probability_baseline(model: ModelManifest, clip: Clip, gt_class: int) -> np.ndarray:
     """Per-step scores: +1 where the gt class probability reaches 0.5, else -1."""
-    cache = forward_clip(model, clip)
-    if cache.logits.shape[0] != clip.length:
-        raise ValueError("probability baseline needs per-step logits")
-    scores = np.empty(clip.length, dtype=np.float64)
-    for t in range(clip.length):
-        p = softmax_probs(cache.logits[t])[gt_class]
-        scores[t] = 1.0 if p >= 0.5 else -1.0
-    return scores
+    return np.where(gt_class_probabilities(model, clip, gt_class) >= 0.5, 1.0, -1.0)
 
 
 def gt_class_probabilities(model: ModelManifest, clip: Clip, gt_class: int) -> np.ndarray:

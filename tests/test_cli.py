@@ -92,24 +92,33 @@ def test_invalid_layout_is_usage_error(tmp_path):
 def test_eb_r_refused_for_unknown_length_grounding(tmp_path, capsys):
     data = tmp_path / "data"
     gen(data)
-    sal = tmp_path / "sal"
-    assert run("saliency", "--model", data / "model" / "manifest.json", "--data", data,
-               "--mode", "EB-R", "--target", "conv1", "--out", sal) == 0
-    code = run("ground", "--method", "ceb-r", "--saliency", sal, "--data", data,
-               "--out", tmp_path / "gnd")
-    assert code == 2
-    assert "non-negative" in capsys.readouterr().err
-    # known-length grounding of the same maps is fine
-    assert run("ground", "--method", "ceb-r", "--saliency", sal, "--data", data,
-               "--length", 4, "--out", tmp_path / "gnd2") == 0
+    for mode, reason in (("EB-R", "non-negative"), ("cEB", "zero apart from leak")):
+        sal = tmp_path / f"sal_{mode}"
+        assert run("saliency", "--model", data / "model" / "manifest.json", "--data", data,
+                   "--mode", mode, "--target", "conv1", "--out", sal) == 0
+        code = run("ground", "--method", "ceb-r", "--saliency", sal, "--data", data,
+                   "--out", tmp_path / "gnd")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"mode {mode}," in err and reason in err
+        # known-length grounding of the same maps is fine
+        assert run("ground", "--method", "ceb-r", "--saliency", sal, "--data", data,
+                   "--length", 4, "--out", tmp_path / "gnd2") == 0
 
 
-def test_prob_method_and_combined(tmp_path):
+def test_prob_method_and_combined(tmp_path, monkeypatch):
+    import ebr.synth
+
     data = tmp_path / "data"
     gen(data)
     model = data / "model" / "manifest.json"
+    forwarded = []
+    forward_clip = ebr.synth.forward_clip
+    monkeypatch.setattr(ebr.synth, "forward_clip",
+                        lambda *a, **k: forwarded.append(1) or forward_clip(*a, **k))
     assert run("ground", "--method", "prob", "--model", model, "--data", data,
                "--out", tmp_path / "gp") == 0
+    assert len(forwarded) == 6  # one forward pass per clip
     rows = (tmp_path / "gp" / "segments.csv").read_text().strip().splitlines()
     assert len(rows) == 7  # header + 6 clips
     assert rows[0].split(",")[2] == "method"

@@ -3,23 +3,32 @@ import pytest
 
 from conftest import conv_chain_model, fc_chain_model, random_clip
 from ebr.eb import (
+    MODES,
     AllZeroMassError,
     PriorSpec,
     contrastive_combine,
     eb_conv_backward,
     eb_linear_backward,
     eb_meanpool_temporal_backward,
-    eb_pool_backward,
     eb_recurrent_backward,
-    eb_relu_backward,
     load_saliency,
     run_saliency,
     save_saliency,
     temporal_normalize,
 )
-from ebr.forward import ActivationCache, Clip, forward_clip, maxpool_forward
+from ebr.forward import ActivationCache, Clip, forward_clip, maxpool_backward, maxpool_forward
 from ebr.model import LayerSpec, ModelManifest
 from oracles import conv_as_matrix, enumerate_path_masses
+
+
+# ---------------------------------------------------------------------------
+# prior
+
+
+@pytest.mark.parametrize("mass", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_prior_rejects_non_finite_mass(mass):
+    with pytest.raises(ValueError, match="finite"):
+        PriorSpec(step=0, mass=np.array(mass))
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +139,14 @@ def test_conv_backward_signed_parent_mass_is_linear(rng):
 
 
 # ---------------------------------------------------------------------------
-# pool / relu / flatten / mean-pool rules
-
-
-def test_relu_backward_passthrough():
-    m = np.array([0.3, 0.7])
-    assert np.array_equal(eb_relu_backward(m), m)
+# pool and mean-pool rules
 
 
 def test_pool_backward_routes_to_winner():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     _, rows, cols = maxpool_forward(x, (2, 2), (2, 2))
-    mass = eb_pool_backward(rows, cols, x.shape, np.array([[[1.0]]]))
+    mass = maxpool_backward(np.array([[[1.0]]]), rows, cols, x.shape)
     np.testing.assert_array_equal(mass, [[[0.0, 0.0], [0.0, 1.0]]])
-
-
-def test_flatten_preserves_total(rng):
-    from ebr.eb import eb_flatten_backward
-
-    pm = rng.uniform(size=12)
-    out = eb_flatten_backward(pm, (3, 2, 2))
-    assert out.shape == (3, 2, 2)
-    assert out.sum() == pm.sum()
 
 
 def test_meanpool_temporal_proportional_split():
@@ -382,10 +377,38 @@ def test_layer_records_conserve_mass(rng):
     model = conv_chain_model(rng)
     clip = random_clip(rng, model)
     prior = PriorSpec.one_hot(3, 0, step=model.clip_length - 1)
-    seq = run_saliency(model, clip, prior, "EB-R", "input")
-    assert not seq.zero_branches
-    for name, mass, leak_above in seq.layer_records:
-        np.testing.assert_allclose(mass + leak_above, 1.0, atol=1e-9)
+    for mode in ("EB", "cEB", "EB-R", "cEB-R"):
+        seq = run_saliency(model, clip, prior, mode, "input")
+        # every live branch delivers mass 1 (per frame in the frame-wise
+        # modes); the dual branch enters negated
+        frames = [""] if mode.endswith("-R") else [f"[{t}]" for t in range(clip.length)]
+        expected = sum(f"pos{f}" not in seq.zero_branches for f in frames)
+        if mode.startswith("c"):
+            expected -= sum(f"dual{f}" not in seq.zero_branches for f in frames)
+        assert [name for name, _, _ in seq.layer_records] == [
+            "relu2", "fc1", "flat1", "pool1", "relu1", "conv1", "input"
+        ]
+        for name, mass, leak_above in seq.layer_records:
+            np.testing.assert_allclose(mass + leak_above, expected, atol=1e-9, err_msg=mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_forwards_the_clip_once(rng, monkeypatch, mode):
+    import ebr.eb
+    import ebr.gradients
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].length)
+        return forward_clip(*args, **kwargs)
+
+    monkeypatch.setattr(ebr.eb, "forward_clip", counting)
+    monkeypatch.setattr(ebr.gradients, "forward_clip", counting)
+    model = conv_chain_model(rng)
+    clip = random_clip(rng, model)
+    run_saliency(model, clip, PriorSpec.one_hot(3, 0, step=1), mode, "input")
+    assert calls == [clip.length]
 
 
 def test_eb_mode_matches_eb_r_on_one_frame_clip(rng):

@@ -7,6 +7,7 @@ import pytest
 from conftest import conv_chain_model, fc_chain_model, random_clip
 from ebr.forward import (
     Clip,
+    conv2d_backward,
     conv2d_forward,
     forward_clip,
     forward_frame,
@@ -17,7 +18,7 @@ from ebr.forward import (
     softmax_probs,
 )
 from ebr.model import LayerSpec, ManifestError, ModelManifest
-from oracles import naive_conv
+from oracles import conv_as_matrix, naive_conv
 
 
 def test_identity_conv_passthrough():
@@ -104,6 +105,31 @@ def test_softmax_closed_form():
     np.testing.assert_allclose(
         softmax_probs(np.array([math.log(2.0), 0.0])), [2 / 3, 1 / 3], atol=1e-15
     )
+
+
+@pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((2, 2), (1, 1)), ((1, 2), (2, 0))])
+def test_conv_backward_is_transposed_matrix(rng, stride, padding):
+    x_shape = (2, 5, 5)
+    w = rng.normal(size=(3, 2, 3, 3))
+    matrix, out_hw = conv_as_matrix(x_shape, w, stride, padding)
+    g = rng.normal(size=(3, *out_hw))
+    got = conv2d_backward(g, w, x_shape, stride, padding)
+    np.testing.assert_allclose(got.reshape(-1), matrix.T @ g.reshape(-1), atol=1e-12)
+
+
+@pytest.mark.parametrize("aggregator", ["recurrent-relu", "temporal-mean-pool", "none"])
+def test_frame_view_matches_one_frame_clip(rng, aggregator):
+    model = conv_chain_model(rng, aggregator=aggregator)
+    clip = random_clip(rng, model)
+    cache = forward_clip(model, clip)
+    for t in range(clip.length):
+        got = cache.frame(t)
+        want = forward_clip(model, Clip(frames=clip.frames[t : t + 1]), enforce_length=False)
+        assert got.length == 1
+        assert got.per_frame[0] is cache.per_frame[t]
+        for field in ("features", "states", "pooled", "logits"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 def test_forward_deterministic_bitwise(rng):

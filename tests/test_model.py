@@ -169,6 +169,16 @@ def test_weight_blob_shape_checked_against_geometry(tmp_path):
         parse_manifest(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_blob_rejected(tmp_path, bad):
+    serialize_manifest(minimal_manifest(), tmp_path / "manifest.json")
+    w = np.ones((3, 8))
+    w[1, 2] = bad
+    save_tensor(w, tmp_path / "fc_w.ebt")
+    with pytest.raises(ManifestError, match="'fc_w' holds non-finite"):
+        parse_manifest(tmp_path / "manifest.json")
+
+
 def test_manifest_json_is_versioned():
     doc = manifest_to_json(fc_chain_model(np.random.default_rng(0)))
     assert doc["format_version"] == 1
