@@ -16,6 +16,7 @@ from .eb import (
     eb_conv_backward,
     eb_linear_backward,
     eb_meanpool_temporal_backward,
+    eb_pool_backward,
     eb_recurrent_backward,
     load_saliency,
     run_saliency,

@@ -34,14 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (
-    ActivationCache,
-    Clip,
-    conv2d_backward,
-    conv2d_forward,
-    forward_clip,
-    maxpool_backward,
-)
+from .forward import ActivationCache, Clip, _conv2d_backward, forward_clip, im2col
 from .model import ModelManifest
 from .tensorfile import load_tensor, save_tensor
 
@@ -142,17 +135,30 @@ def eb_conv_backward(
     """
     if child_acts.min() < 0.0:
         raise ValueError("child activations must be non-negative")
+    oc = weight.shape[0]
+    col, out_hw = im2col(child_acts, weight.shape[2:], stride, padding)
+    if parent_mass.shape != (oc, *out_hw):
+        raise ValueError(f"parent mass {parent_mass.shape} != {(oc, *out_hw)}")
     w_pos = np.where(weight >= 0.0, weight, 0.0)
-    z = conv2d_forward(child_acts, w_pos, None, stride, padding)
-    if parent_mass.shape != z.shape:
-        raise ValueError(f"parent mass {parent_mass.shape} != {z.shape}")
+    z = (w_pos.reshape(oc, -1) @ col).reshape(parent_mass.shape)
     live = z > 0.0
     ratio = np.where(live, parent_mass, 0.0)
     np.divide(ratio, z, out=ratio, where=live)
     leaked = float(parent_mass[~live].sum())
     # x * W+^T (m / W+ x): the input VJP of the non-negative kernel, rescaled
-    child_mass = child_acts * conv2d_backward(ratio, w_pos, child_acts.shape, stride, padding)
+    child_mass = child_acts * _conv2d_backward(ratio, w_pos, child_acts.shape, stride, padding)
     return child_mass, leaked
+
+
+def eb_pool_backward(rows: np.ndarray, cols: np.ndarray, child_shape, parent_mass: np.ndarray):
+    """Each pooled output routes its whole signal to the recorded winner cell.
+
+    This is the maxpool VJP, so EB mass and BP gradients share it.
+    """
+    out = np.zeros(child_shape, dtype=np.float64)
+    c_idx = np.broadcast_to(np.arange(child_shape[0])[:, None, None], rows.shape)
+    np.add.at(out, (c_idx, rows, cols), parent_mass)
+    return out
 
 
 def eb_meanpool_temporal_backward(frame_feats: np.ndarray, parent_mass: np.ndarray):
@@ -341,12 +347,12 @@ def _layer_backward(
         return signal.reshape(x_in.shape), 0.0
     if spec.kind == "maxpool2d":
         rows, cols = cache.pool_winners[t][spec.name]
-        return maxpool_backward(signal, rows, cols, x_in.shape), 0.0
+        return eb_pool_backward(rows, cols, x_in.shape, signal), 0.0
     if spec.kind == "conv2d":
         w = cache.model.weight(spec, "weight")
         if excitation:
             return eb_conv_backward(x_in, w, spec.stride, spec.padding, signal)
-        return conv2d_backward(signal, w, x_in.shape, spec.stride, spec.padding), 0.0
+        return _conv2d_backward(signal, w, x_in.shape, spec.stride, spec.padding), 0.0
     if spec.kind == "fully-connected":
         w = cache.model.weight(spec, "weight")
         if excitation:

@@ -114,9 +114,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride, p
     return out.reshape(oc, oh, ow)
 
 
-def conv2d_backward(g: np.ndarray, w: np.ndarray, x_shape, stride, padding) -> np.ndarray:
+def _conv2d_backward(g: np.ndarray, w: np.ndarray, x_shape, stride, padding) -> np.ndarray:
     """Vector-Jacobian product of :func:`conv2d_forward` w.r.t. its input:
-    the [OC, OH, OW] signal ``g`` carried back onto the [C, H, W] grid."""
+    the [OC, OH, OW] signal ``g`` carried back onto the [C, H, W] grid.
+
+    Private, so that a trace of the public functions books its ``col2im``
+    under the rule that called it (``eb_conv_backward`` or BP's descent).
+    """
     oc = w.shape[0]
     col = w.reshape(oc, -1).T @ g.reshape(oc, -1)
     return col2im(col, x_shape, w.shape[2:], stride, padding, g.shape[1:])
@@ -140,14 +144,6 @@ def maxpool_forward(x: np.ndarray, window, stride) -> tuple[np.ndarray, np.ndarr
     rows = oy[None] + k // ww
     cols = ox[None] + k % ww
     return out, rows, cols
-
-
-def maxpool_backward(g: np.ndarray, rows: np.ndarray, cols: np.ndarray, x_shape) -> np.ndarray:
-    """Route each pooled output's signal to its recorded winner cell."""
-    out = np.zeros(x_shape, dtype=np.float64)
-    c_idx = np.broadcast_to(np.arange(x_shape[0])[:, None, None], rows.shape)
-    np.add.at(out, (c_idx, rows, cols), g)
-    return out
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:

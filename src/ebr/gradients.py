@@ -61,7 +61,7 @@ def bp_saliency(
     step get exact zeros. Without it, each frame's own one-step logit is
     differentiated, so ``prior.step`` does not select anything.
     """
-    cache = forward_clip(model, clip)
+    cache = forward_clip(model, clip, enforce_length=through_time)
     T = clip.length
     if not 0 <= prior.step < T:
         raise ValueError(f"prior step {prior.step} outside 0..{T - 1}")

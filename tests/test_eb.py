@@ -10,13 +10,14 @@ from ebr.eb import (
     eb_conv_backward,
     eb_linear_backward,
     eb_meanpool_temporal_backward,
+    eb_pool_backward,
     eb_recurrent_backward,
     load_saliency,
     run_saliency,
     save_saliency,
     temporal_normalize,
 )
-from ebr.forward import ActivationCache, Clip, forward_clip, maxpool_backward, maxpool_forward
+from ebr.forward import ActivationCache, Clip, forward_clip, maxpool_forward
 from ebr.model import LayerSpec, ModelManifest
 from oracles import conv_as_matrix, enumerate_path_masses
 
@@ -145,7 +146,7 @@ def test_conv_backward_signed_parent_mass_is_linear(rng):
 def test_pool_backward_routes_to_winner():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     _, rows, cols = maxpool_forward(x, (2, 2), (2, 2))
-    mass = maxpool_backward(np.array([[[1.0]]]), rows, cols, x.shape)
+    mass = eb_pool_backward(rows, cols, x.shape, np.array([[[1.0]]]))
     np.testing.assert_array_equal(mass, [[[0.0, 0.0], [0.0, 1.0]]])
 
 

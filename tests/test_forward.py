@@ -7,7 +7,7 @@ import pytest
 from conftest import conv_chain_model, fc_chain_model, random_clip
 from ebr.forward import (
     Clip,
-    conv2d_backward,
+    _conv2d_backward,
     conv2d_forward,
     forward_clip,
     forward_frame,
@@ -113,7 +113,7 @@ def test_conv_backward_is_transposed_matrix(rng, stride, padding):
     w = rng.normal(size=(3, 2, 3, 3))
     matrix, out_hw = conv_as_matrix(x_shape, w, stride, padding)
     g = rng.normal(size=(3, *out_hw))
-    got = conv2d_backward(g, w, x_shape, stride, padding)
+    got = _conv2d_backward(g, w, x_shape, stride, padding)
     np.testing.assert_allclose(got.reshape(-1), matrix.T @ g.reshape(-1), atol=1e-12)
 
 

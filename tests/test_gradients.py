@@ -5,7 +5,7 @@ from conftest import conv_chain_model, fc_chain_model, random_clip
 from ebr.eb import PriorSpec, run_saliency
 from ebr.forward import Clip
 from ebr.gradients import bp_saliency
-from ebr.model import LayerSpec, ModelManifest
+from ebr.model import LayerSpec, ManifestError, ModelManifest
 from oracles import fd_input_grads
 
 
@@ -103,3 +103,21 @@ def test_bp_r_rejects_cnn_only_model(rng):
     with pytest.raises(ValueError):
         bp_saliency(model, clip, PriorSpec.one_hot(3, 0, step=0), "input",
                     through_time=True)
+
+
+def test_frame_wise_modes_accept_any_clip_length(rng):
+    # EB, cEB and BP treat every frame as its own one-frame clip, so the
+    # manifest's clip length binds only the through-time modes
+    model = conv_chain_model(rng, clip_length=3)
+    longer = Clip(frames=rng.uniform(size=(5, *model.input_shape)))
+    prefix = Clip(frames=longer.frames[:3])
+    prior = PriorSpec.one_hot(3, 0, step=0)
+    for mode in ("EB", "cEB", "BP"):
+        got = run_saliency(model, longer, prior, mode, "input").maps
+        want = run_saliency(model, prefix, prior, mode, "input").maps
+        assert len(got) == 5
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), mode
+    for mode in ("EB-R", "cEB-R", "BP-R"):
+        with pytest.raises(ManifestError, match="5 frames"):
+            run_saliency(model, longer, prior, mode, "input")
