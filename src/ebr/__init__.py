@@ -12,6 +12,7 @@ from .eb import (
     MODES,
     PriorSpec,
     SaliencySequence,
+    SidecarMismatchError,
     contrastive_combine,
     eb_conv_backward,
     eb_linear_backward,
@@ -49,6 +50,7 @@ from .model import (
     LayerSpec,
     ManifestError,
     ModelManifest,
+    NonNegativityError,
     parse_manifest,
     serialize_manifest,
     validate_eb_assumptions,

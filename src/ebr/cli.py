@@ -29,7 +29,13 @@ from .grounding import (
     spatial_point,
     temporal_ground,
 )
-from .model import ModelManifest, parse_manifest, serialize_manifest, validate_eb_assumptions
+from .model import (
+    ModelManifest,
+    NonNegativityError,
+    parse_manifest,
+    serialize_manifest,
+    validate_eb_assumptions,
+)
 from .render import overlay_sequence, write_ppm
 from .synth import build_toy_model, dataset_specs, gen_synthetic_clip, gt_class_probabilities
 
@@ -86,9 +92,7 @@ def _load_model(path: str) -> ModelManifest:
     model = parse_manifest(path)
     violations = validate_eb_assumptions(model)
     if violations:
-        raise UsageError(
-            "model violates the non-negativity assumptions:\n  " + "\n  ".join(violations)
-        )
+        raise UsageError(str(NonNegativityError(violations)))
     return model
 
 

@@ -28,6 +28,7 @@ Bias terms never join a competition, so they never receive mass.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import ActivationCache, Clip, _conv2d_backward, forward_clip, im2col
-from .model import ModelManifest
+from .model import ModelManifest, NonNegativityError, validate_eb_assumptions
 from .tensorfile import load_tensor, save_tensor
 
 MODES = ("EB", "cEB", "EB-R", "cEB-R", "BP", "BP-R")
@@ -43,6 +44,10 @@ MODES = ("EB", "cEB", "EB-R", "cEB-R", "BP", "BP-R")
 
 class AllZeroMassError(ValueError):
     """Raised when a mass field that should be normalized is identically zero."""
+
+
+class SidecarMismatchError(Exception):
+    """A saliency .ebt has no .json sidecar, or one written for other maps."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,8 +307,15 @@ class SaliencySequence:
         return float(self.maps[t].sum())
 
 
+def _sha256(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def save_saliency(seq: SaliencySequence, path) -> None:
-    """Write the channel-summed maps as .ebt plus a .json sidecar."""
+    """Write the channel-summed maps as .ebt plus a .json sidecar that
+    records the .ebt's SHA-256, so a sidecar left over from other maps is
+    detected on load."""
     save_tensor(seq.spatial_maps(), path)
     sidecar = os.fspath(path) + ".json"
     doc = {
@@ -313,6 +325,7 @@ def save_saliency(seq: SaliencySequence, path) -> None:
         "prior": {"step": seq.prior_step, "mass": seq.prior_mass.tolist()},
         "leaked": {k: float(v) for k, v in sorted(seq.leaked.items())},
         "zero_branches": list(seq.zero_branches),
+        "sha256": _sha256(path),
     }
     with open(sidecar, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -320,18 +333,29 @@ def save_saliency(seq: SaliencySequence, path) -> None:
 
 
 def load_saliency(path) -> tuple[np.ndarray, dict]:
-    """Read back the [T, H', W'] maps and the sidecar metadata."""
-    maps = load_tensor(path)
+    """Read back the [T, H', W'] maps and the sidecar metadata.
+
+    Raises :class:`SidecarMismatchError` when the sidecar is missing or its
+    recorded SHA-256 is not the .ebt's.
+    """
     sidecar = os.fspath(path) + ".json"
+    if not os.path.exists(sidecar):
+        raise SidecarMismatchError(f"{path}: sidecar {sidecar} is missing")
     with open(sidecar, "r", encoding="utf-8") as f:
         meta = json.load(f)
-    return maps, meta
+    digest = _sha256(path)
+    if meta.get("sha256") != digest:
+        raise SidecarMismatchError(
+            f"{sidecar} records sha256 {meta.get('sha256')!r}, but {path} has {digest!r}"
+        )
+    return load_tensor(path), meta
 
 
 def _layer_backward(
-    cache: ActivationCache, t: int, layer_index: int, signal: np.ndarray, excitation: bool
+    cache: ActivationCache, t: int, spec, x_in: np.ndarray, signal: np.ndarray, excitation: bool
 ):
-    """Signal on the output of CNN-stack layer ``layer_index`` -> its input.
+    """Signal on the output of CNN-stack layer ``spec`` at frame t -> its
+    input ``x_in``.
 
     relu, flatten and maxpool take their vector-Jacobian product in both
     engines; EB mass is proportional to activation, so the relu mask
@@ -339,8 +363,6 @@ def _layer_backward(
     rule under ``excitation`` and the plain VJP otherwise. Returns
     ``(signal, leaked)``.
     """
-    spec = cache.model.cnn_stack()[layer_index]
-    x_in = cache.layer_input(t, layer_index)
     if spec.kind == "relu":
         return signal * (cache.per_frame[t][spec.name] > 0.0), 0.0
     if spec.kind == "flatten":
@@ -377,11 +399,13 @@ def _descend(cache: ActivationCache, signals: np.ndarray, target_layer: str, exc
     leaks = np.zeros(len(levels) + 1)
     maps = []
     for t in range(cache.length):
-        signal = signals[t].reshape(cache.per_frame[t][top].shape)
+        acts = cache.per_frame[t]
+        signal = signals[t].reshape(acts[top].shape)
         totals[0] += signal.sum()
         running = 0.0
         for k, i in enumerate(levels, 1):
-            signal, lk = _layer_backward(cache, t, i, signal, excitation)
+            x_in = acts[names[i - 1]] if i > 0 else cache.clip_frames[t]
+            signal, lk = _layer_backward(cache, t, stack[i], x_in, signal, excitation)
             running += lk
             totals[k] += signal.sum()
             leaks[k] += running
@@ -467,7 +491,9 @@ def run_saliency(
     down each frame's CNN. The frame-wise modes run the head on each frame
     as its own one-frame clip and normalize within the frame. BP modes
     differentiate the prior-weighted logit instead of propagating
-    probabilities. Every mode forwards the clip once.
+    probabilities. Every mode forwards the clip once. The EB modes first
+    raise :class:`NonNegativityError` if the model breaks a rule of
+    :func:`validate_eb_assumptions`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -484,6 +510,9 @@ def run_saliency(
             prior_step=prior.step, prior_mass=prior.mass,
         )
 
+    violations = validate_eb_assumptions(model)
+    if violations:
+        raise NonNegativityError(violations)
     through_time = mode.endswith("-R")
     if through_time and model.aggregator_index() is None:
         raise ValueError(f"mode {mode} needs a temporal aggregator layer")

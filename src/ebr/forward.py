@@ -63,20 +63,49 @@ def load_clip(path) -> Clip:
 # kernels
 
 
-def im2col(x: np.ndarray, kernel, stride, padding) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unroll [C, H, W] into a [C*kh*kw, oh*ow] patch matrix (zero padding)."""
+def _phase_blocks(C, H, W, kernel, stride, padding):
+    """Zero padded-input buffer for :func:`im2col` and :func:`col2im`, cut
+    into stride-sized kernel blocks.
+
+    Tap ``ky = by * sy + ry`` reads padded row ``(i + by) * sy + ry`` for
+    output row i, so with the buffer viewed as ``[C, Hb, sy, Wb, sx]`` block
+    ``(by, bx)`` is the one slice ``[:, by:by+oh, :, bx:bx+ow, :]``, shaped
+    ``[C, oh, ry, ow, rx]``. ``(oh + qy) * sy`` rows always cover the padded
+    input. Returns ``(buf, (oh, ow), blocks)`` with ``blocks`` a row-major
+    list of ``(view, ky_slice, kx_slice)``.
+    """
     kh, kw = kernel
     sy, sx = stride
     py, px = padding
-    if py or px:
-        x = np.pad(x, ((0, 0), (py, py), (px, px)))
+    oh = (H + 2 * py - kh) // sy + 1
+    ow = (W + 2 * px - kw) // sx + 1
+    qy, qx = -(-kh // sy), -(-kw // sx)
+    buf = np.zeros((C, (oh + qy) * sy, (ow + qx) * sx), dtype=np.float64)
+    grid = buf.reshape(C, oh + qy, sy, ow + qx, sx)
+    blocks = []
+    for by in range(qy):
+        ys = slice(by * sy, min(kh, by * sy + sy))
+        for bx in range(qx):
+            xs = slice(bx * sx, min(kw, bx * sx + sx))
+            view = grid[:, by : by + oh, : ys.stop - ys.start, bx : bx + ow, : xs.stop - xs.start]
+            blocks.append((view, ys, xs))
+    return buf, (oh, ow), blocks
+
+
+def im2col(x: np.ndarray, kernel, stride, padding) -> tuple[np.ndarray, tuple[int, int]]:
+    """Unroll [C, H, W] into a [C*kh*kw, oh*ow] patch matrix (zero padding).
+
+    One copy per stride-sized kernel block: ceil(kh/sy) * ceil(kw/sx) slice
+    operations instead of kh * kw.
+    """
+    kh, kw = kernel
+    py, px = padding
     C, H, W = x.shape
-    oh = (H - kh) // sy + 1
-    ow = (W - kw) // sx + 1
+    buf, (oh, ow), blocks = _phase_blocks(C, H, W, kernel, stride, padding)
+    buf[:, py : py + H, px : px + W] = x
     col = np.empty((C, kh, kw, oh, ow), dtype=np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
-            col[:, ky, kx] = x[:, ky : ky + sy * oh : sy, kx : kx + sx * ow : sx]
+    for view, ys, xs in blocks:
+        col[:, ys, xs] = view.transpose(0, 2, 4, 1, 3)
     return col.reshape(C * kh * kw, oh * ow), (oh, ow)
 
 
@@ -88,20 +117,20 @@ def col2im(
     padding,
     out_hw: tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add a patch matrix back onto the (unpadded) input grid."""
+    """Scatter-add a patch matrix back onto the (unpadded) input grid.
+
+    One shifted add per stride-sized kernel block. Within a block every
+    input cell receives at most one tap, and the blocks go in row-major
+    order, so each cell sums its taps in (ky, kx) row-major order.
+    """
     kh, kw = kernel
-    sy, sx = stride
     py, px = padding
     C, H, W = x_shape
-    oh, ow = out_hw
-    acc = np.zeros((C, H + 2 * py, W + 2 * px), dtype=np.float64)
-    col = col.reshape(C, kh, kw, oh, ow)
-    for ky in range(kh):
-        for kx in range(kw):
-            acc[:, ky : ky + sy * oh : sy, kx : kx + sx * ow : sx] += col[:, ky, kx]
-    if py or px:
-        acc = acc[:, py : py + H, px : px + W]
-    return acc
+    acc, _, blocks = _phase_blocks(C, H, W, kernel, stride, padding)
+    col = col.reshape(C, kh, kw, *out_hw)
+    for view, ys, xs in blocks:
+        view += col[:, ys, xs].transpose(0, 3, 1, 4, 2)
+    return acc[:, py : py + H, px : px + W]
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride, padding) -> np.ndarray:
@@ -187,13 +216,6 @@ class ActivationCache:
     @property
     def length(self) -> int:
         return self.clip_frames.shape[0]
-
-    def layer_input(self, t: int, layer_index: int) -> np.ndarray:
-        """Input activation of CNN-stack layer *layer_index* at frame t."""
-        if layer_index == 0:
-            return self.clip_frames[t]
-        prev = self.model.cnn_stack()[layer_index - 1]
-        return self.per_frame[t][prev.name]
 
     def frame(self, t: int) -> "ActivationCache":
         """Frame t as a one-frame clip: the CNN activations are shared and

@@ -76,6 +76,17 @@ class DuplicateLayerNameError(ManifestError):
     pass
 
 
+class NonNegativityError(ManifestError):
+    """The model breaks a structural rule of :func:`validate_eb_assumptions`,
+    so an EB competition could be fed negative activations."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__(
+            "model violates the non-negativity assumptions:\n  " + "\n  ".join(self.violations)
+        )
+
+
 def _pair(v, what: str, minimum: int = 1) -> tuple[int, int]:
     if isinstance(v, int):
         v = [v, v]

@@ -36,6 +36,38 @@ def naive_conv(x, w, b, stride, padding):
     return out
 
 
+def per_tap_im2col(x, kernel, stride, padding):
+    """Reference unrolling: one strided slice copy per kernel tap."""
+    kh, kw = kernel
+    sy, sx = stride
+    py, px = padding
+    x = np.pad(x, ((0, 0), (py, py), (px, px)))
+    C, H, W = x.shape
+    oh = (H - kh) // sy + 1
+    ow = (W - kw) // sx + 1
+    col = np.empty((C, kh, kw, oh, ow))
+    for ky in range(kh):
+        for kx in range(kw):
+            col[:, ky, kx] = x[:, ky : ky + sy * oh : sy, kx : kx + sx * ow : sx]
+    return col.reshape(C * kh * kw, oh * ow), (oh, ow)
+
+
+def per_tap_col2im(col, x_shape, kernel, stride, padding, out_hw):
+    """Reference scatter-add: one strided slice add per kernel tap, in
+    (ky, kx) row-major order."""
+    kh, kw = kernel
+    sy, sx = stride
+    py, px = padding
+    C, H, W = x_shape
+    oh, ow = out_hw
+    acc = np.zeros((C, H + 2 * py, W + 2 * px))
+    col = col.reshape(C, kh, kw, oh, ow)
+    for ky in range(kh):
+        for kx in range(kw):
+            acc[:, ky : ky + sy * oh : sy, kx : kx + sx * ow : sx] += col[:, ky, kx]
+    return acc[:, py : py + H, px : px + W]
+
+
 def conv_as_matrix(x_shape, w, stride, padding):
     """Materialize a convolution as one dense [parents, children] matrix.
 

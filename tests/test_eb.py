@@ -6,6 +6,7 @@ from ebr.eb import (
     MODES,
     AllZeroMassError,
     PriorSpec,
+    SidecarMismatchError,
     contrastive_combine,
     eb_conv_backward,
     eb_linear_backward,
@@ -18,7 +19,7 @@ from ebr.eb import (
     temporal_normalize,
 )
 from ebr.forward import ActivationCache, Clip, forward_clip, maxpool_forward
-from ebr.model import LayerSpec, ModelManifest
+from ebr.model import LayerSpec, ModelManifest, NonNegativityError
 from oracles import conv_as_matrix, enumerate_path_masses
 
 
@@ -489,3 +490,49 @@ def test_saliency_save_load_roundtrip(tmp_path, rng):
     assert meta["mode"] == "cEB-R"
     assert meta["layer"] == "conv1"
     assert meta["prior"]["step"] == model.clip_length - 1
+
+
+def test_load_saliency_rejects_stale_sidecar(tmp_path, rng):
+    """The .ebt replaced without its sidecar, as a crash between the two
+    moves of a saliency write would leave it."""
+    model = conv_chain_model(rng)
+    clip = random_clip(rng, model)
+    final = tmp_path / "s.ebt"
+    save_saliency(run_saliency(model, clip, PriorSpec.one_hot(3, 0, step=2), "EB-R", "conv1"), final)
+    newer = tmp_path / "s.tmp"
+    save_saliency(run_saliency(model, clip, PriorSpec.one_hot(3, 0, step=1), "EB-R", "conv1"), newer)
+    newer.replace(final)
+    with pytest.raises(SidecarMismatchError, match="sha256"):
+        load_saliency(final)
+    (tmp_path / "s.tmp.json").replace(tmp_path / "s.ebt.json")
+    _, meta = load_saliency(final)
+    assert meta["prior"]["step"] == 1
+
+
+def test_load_saliency_rejects_missing_sidecar(tmp_path, rng):
+    model = conv_chain_model(rng)
+    seq = run_saliency(model, random_clip(rng, model), PriorSpec.one_hot(3, 0, step=2), "EB-R", "conv1")
+    save_saliency(seq, tmp_path / "s.ebt")
+    (tmp_path / "s.ebt.json").unlink()
+    with pytest.raises(SidecarMismatchError, match="missing"):
+        load_saliency(tmp_path / "s.ebt")
+
+
+def test_eb_modes_refuse_model_breaking_non_negativity(rng, monkeypatch):
+    """Without relu2 the fc output feeds the recurrence unrectified: the EB
+    modes name the violation before any forward pass; BP has no such rule."""
+    import ebr.eb
+
+    model = conv_chain_model(rng)
+    model.layers = [s for s in model.layers if s.name != "relu2"]
+    clip = random_clip(rng, model)
+    prior = PriorSpec.one_hot(3, 0, step=2)
+    calls = []
+    monkeypatch.setattr(ebr.eb, "forward_clip", lambda *a, **k: calls.append(a))
+    for mode in ("EB", "cEB", "EB-R", "cEB-R"):
+        with pytest.raises(NonNegativityError, match="rnn1") as err:
+            run_saliency(model, clip, prior, mode, "conv1")
+        assert len(err.value.violations) == 1
+    assert calls == []
+    for mode in ("BP", "BP-R"):
+        assert run_saliency(model, clip, prior, mode, "conv1").length == clip.length

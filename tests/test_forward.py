@@ -3,14 +3,18 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_chain_model, fc_chain_model, random_clip
 from ebr.forward import (
     Clip,
     _conv2d_backward,
+    col2im,
     conv2d_forward,
     forward_clip,
     forward_frame,
+    im2col,
     load_clip,
     maxpool_forward,
     relu,
@@ -18,7 +22,7 @@ from ebr.forward import (
     softmax_probs,
 )
 from ebr.model import LayerSpec, ManifestError, ModelManifest
-from oracles import conv_as_matrix, naive_conv
+from oracles import conv_as_matrix, naive_conv, per_tap_col2im, per_tap_im2col
 
 
 def test_identity_conv_passthrough():
@@ -115,6 +119,37 @@ def test_conv_backward_is_transposed_matrix(rng, stride, padding):
     g = rng.normal(size=(3, *out_hw))
     got = _conv2d_backward(g, w, x_shape, stride, padding)
     np.testing.assert_allclose(got.reshape(-1), matrix.T @ g.reshape(-1), atol=1e-12)
+
+
+@st.composite
+def conv_geometries(draw):
+    """Random [C, H, W] input and a kernel that fits its padded extent:
+    1x1 kernels, kernels as large as the padded input, kernels smaller
+    than the stride and kernels that are not a multiple of it."""
+    C = draw(st.integers(1, 3))
+    H, W = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    py, px = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kh = draw(st.integers(1, H + 2 * py))
+    kw = draw(st.integers(1, W + 2 * px))
+    sy, sx = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return (C, H, W), (kh, kw), (sy, sx), (py, px)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conv_geometries(), st.integers(0, 2**32 - 1))
+def test_im2col_col2im_match_per_tap_reference(geometry, seed):
+    x_shape, kernel, stride, padding = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    col, out_hw = im2col(x, kernel, stride, padding)
+    want_col, want_hw = per_tap_im2col(x, kernel, stride, padding)
+    assert out_hw == want_hw
+    assert np.array_equal(col, want_col)
+    c = rng.normal(size=col.shape)
+    back = col2im(c, x_shape, kernel, stride, padding, out_hw)
+    assert np.array_equal(back, per_tap_col2im(c, x_shape, kernel, stride, padding, out_hw))
+    # col2im is the adjoint of im2col: <im2col(x), c> == <x, col2im(c)>
+    assert abs(np.vdot(col, c) - np.vdot(x, back)) <= 1e-12 * max(1.0, np.abs(col * c).sum())
 
 
 @pytest.mark.parametrize("aggregator", ["recurrent-relu", "temporal-mean-pool", "none"])
